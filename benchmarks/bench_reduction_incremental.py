@@ -11,23 +11,17 @@ serial arcs.
 
 This benchmark drives both engines over reduction-heavy instances -- paper
 kernels plus the scale tier up to the 240-operation superblocks (extended
-from 200 by PR 9: the asymptotic win is exactly what the comparison is
-about, and sb240 was already pinned byte-identical by the kernel-parity
-suite) -- and checks:
+from 200: the asymptotic win is exactly what the comparison is about) --
+and checks:
 
 * the reports are byte-identical (wall time and the engine tag aside);
 * the incremental engine actually took its warm paths -- including the
   PR-5 candidate engine (killed-graph patches, pair-verdict reuse,
   keep-alive schedule repairs);
 * the aggregate speedup meets ``REPRO_REDUCTION_SPEEDUP_MIN`` (default 15
-  locally -- PR 9's vectorized verdict scan and patched cp state measured
-  12.9x-14.4x; PR 10's batched push path (block row-patching, bulk mirror
-  seeding, the cached component decomposition) plus a gc.collect before
-  each timed leg -- the collector used to bill the incremental run for
-  hundreds of seconds of prior scratch garbage -- measured 16.0x, with the
-  per-instance peak ~18x at scale-sb200 and the measured rows recorded in
-  the BENCH_batchpush.json artifact.  CI's smoke mode only guards against
-  regressions).
+  locally; a gc.collect before each timed leg keeps the collector from
+  billing the incremental run for prior scratch garbage.  CI's smoke mode
+  only guards against regressions).
 
 ``test_antichain_engine_speedup`` isolates PR 3's kernel claim: it records
 the DV-row trace of every Greedy-k candidate during a real reduction of the
@@ -54,9 +48,7 @@ phase seconds + engine counters are appended to a machine-readable JSON
 artifact (uploaded by CI) so the next bottleneck item can be read off a
 file instead of a log.  ``REPRO_BENCH_JSON=<path>`` additionally captures
 the headline numbers themselves (aggregate speedup, per-instance rows, the
-sb280 wall time + counters) in one JSON file, which CI merges with the
-kernel-level sections of ``bench_vector.py`` and uploads as
-``BENCH_vector.json``.
+sb280 wall time + counters) in one JSON file.
 """
 
 from __future__ import annotations
@@ -457,67 +449,6 @@ def test_scale_sb280_replay():
                 k: round(v, 4) for k, v in sorted(stats["stage_timings"].items())
             },
             "counters": counters,
-        },
-    )
-
-
-def test_vectorization_stage_deltas():
-    """Per-stage timer deltas of the flat core before/after vectorization.
-
-    Runs the largest comparison instance through the incremental engine
-    twice -- once with ``flatbuf.use("off")`` (the exact PR-6 scalar loops)
-    and once with the configured buffer backend -- and prints the engine's
-    own stage timers side by side.  This is the evidence trail for each
-    kernel conversion: a stage whose delta is ~zero did not earn its vector
-    path.  Reports stay byte-identical across the two runs (asserted), so
-    the deltas are pure engine time.
-    """
-
-    from repro.analysis import flatbuf
-
-    name, ddg, rtype, budget = _population()[-1]
-
-    with flatbuf.use("off"):
-        scalar, t_scalar = _run(ddg, rtype, budget, "incremental")
-    vector, t_vector = _run(ddg, rtype, budget, "incremental")
-
-    assert _normalized_report(scalar) == _normalized_report(vector), (
-        f"vectorized and scalar reports differ on {name}"
-    )
-    backend = vector.details["engine_stats"]["vector_backend"]
-    if backend != "off":
-        assert vector.details["engine_stats"]["vector_kernel_calls"] > 0, (
-            "the vector kernels must actually carry the run"
-        )
-    assert scalar.details["engine_stats"]["vector_kernel_calls"] == 0
-
-    before = scalar.details["engine_stats"]["stage_timings"]
-    after = vector.details["engine_stats"]["stage_timings"]
-    print(section(f"flat-core vectorization: stage deltas ({name}, backend={backend})"))
-    print(f"{'stage':<18} {'scalar':>8} {'vector':>8} {'delta':>8} {'ratio':>7}")
-    stages = sorted(set(before) | set(after), key=lambda s: -before.get(s, 0.0))
-    for stage in stages:
-        b, a = before.get(stage, 0.0), after.get(stage, 0.0)
-        ratio = b / a if a else float("inf")
-        print(f"{stage:<18} {b:>7.2f}s {a:>7.2f}s {b - a:>+7.2f}s {ratio:>6.2f}x")
-    ratio = t_scalar / t_vector if t_vector else float("inf")
-    print(f"{'wall time':<18} {t_scalar:>7.2f}s {t_vector:>7.2f}s "
-          f"{t_scalar - t_vector:>+7.2f}s {ratio:>6.2f}x")
-
-    _record_bench_json(
-        "vectorization_stage_deltas",
-        {
-            "instance": name,
-            "backend": backend,
-            "scalar_wall_seconds": round(t_scalar, 3),
-            "vector_wall_seconds": round(t_vector, 3),
-            "stages": {
-                stage: {
-                    "scalar_seconds": round(before.get(stage, 0.0), 4),
-                    "vector_seconds": round(after.get(stage, 0.0), 4),
-                }
-                for stage in stages
-            },
         },
     )
 

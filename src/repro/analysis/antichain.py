@@ -303,9 +303,8 @@ def _closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
 
     Shared by the from-scratch reference path and the persistent engine's
     seeding, so the two can never diverge.  The word-op kernel itself lives
-    in :mod:`repro.analysis.flatbuf` (scalar big-int Kahn + reverse-topo
-    accumulation, with a numpy word-matrix form for wide ground sets); the
-    closure of a DAG is unique, so every backend returns identical bitsets.
+    in :mod:`repro.analysis.flatbuf` (big-int Kahn + reverse-topological
+    accumulation).
     """
 
     return flatbuf.closure_from_rows(rows)

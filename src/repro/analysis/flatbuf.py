@@ -1,270 +1,68 @@
-"""Vectorized buffer kernels for the flat hot core (``REPRO_VECTOR``).
+"""Scalar kernels for the reduction engine's flat hot core.
 
-PR 6 moved the reduction engine's hot state onto flat integer-indexed
-structures: longest-path rows indexed by op id, killer/DV state as int
-bitsets, verdicts keyed by flat pair ints.  The rows were plain
-``List[float]`` -- one step from contiguous buffers.  This module takes that
-step: every remaining inner loop of the profiled hot stages (whole-row lp
-max-merge, DV threshold scan, bitset-closure accumulation, the quadratic
-candidate-pair scan) lives here as a *kernel* with two interchangeable
-implementations behind one interface:
+The incremental reduction engine keeps its hot state on flat integer-indexed
+structures: longest-path rows are plain ``List[float]`` buffers indexed by op
+id, killer/DV state is int bitsets, verdicts are keyed by flat pair ints.
+The inner loops over that state live here as small pure-Python kernels:
 
-* ``numpy`` -- rows are ``float64`` ndarrays, kernels are whole-array ops
-  (fancy gather + compare + ``packbits``); used when numpy is importable.
-* ``stdlib`` -- scan tables are ``array('d')``/``array('q')`` buffers where
-  that measurably wins (:func:`pair_tables`); rows are plain lists run by
-  the scalar loops (``array('d')`` element reads box a fresh float per
-  access, which made the "vectorized" stdlib row kernels *lose* to the
-  plain loop -- see :data:`_ROW_NUMPY_MIN` for the measurements).
-* ``off`` -- rows stay plain ``List[float]`` and every kernel runs the
-  exact PR-6 scalar code; this is the reference the other two are
-  property-tested against (``tests/test_flatbuf.py``) and the
-  pre-vectorization baseline of the benchmark's stage-delta table.
+* :func:`finite_entries` / :func:`max_merge` -- the whole-row longest-path
+  max-merge a pushed arc applies to every warm row it reaches;
+* :func:`prepare_values` / :func:`threshold_mask` -- the DV threshold scan
+  that turns a killer's longest-path row into its DV bitset;
+* :func:`closure_from_rows` -- the big-int transitive closure that seeds
+  :class:`~repro.analysis.antichain.PersistentAntichain`.
 
-The backend is chosen by the ``REPRO_VECTOR`` environment variable
-(``auto``/``numpy``/``stdlib``/``off``, default ``auto`` = numpy when
-importable else stdlib); malformed values raise
-:class:`~repro.errors.ConfigurationError` naming the variable, consistent
-with every other ``REPRO_*`` knob.  All three implementations are exact:
-the kernels perform the same IEEE-754 double operations in the same order
-wherever ordering can matter, so reports, store keys and
-``ReductionResult`` details are byte-identical across backends (asserted by
-``benchmarks/bench_vector.py``).
-
-Kernels dispatch on the *runtime type* of the buffer they receive, not just
-the configured backend, so state built under one backend stays correct if
-the backend is switched mid-session (the tests do exactly that through
-:func:`use`).  ``counters["vector_kernel_calls"]`` counts vectorized kernel
-invocations (numpy or stdlib buffers; the ``off`` scalar reference does not
-count) and is surfaced in ``ReductionResult.details["engine_stats"]``.
-
-PR 10 adds the *batched push path*: :func:`max_merge_rows` patches every
-dirty lp row under one pushed arc as a single (rows x n) block operation
-(its pre-image snapshots are the block undo frames of
-``IncrementalAnalysis``), and :func:`relax_sources` seeds several
-longest-path rows in one multi-source relaxation pass over the shared flat
-adjacency.  Both are counted by backend-independent *path* counters
-(``counters["row_block_patches"]`` / ``counters["mirror_bulk_seeds"]``) so
-CI can assert the batched path is actually taken even on the no-numpy leg,
-where the kernels run their scalar forms.
+Every kernel is exact (the same IEEE-754 double operations in the same
+order as the from-scratch analyses), which is what keeps the incremental
+engine byte-identical to the from-scratch reduction driver.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from array import array
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from ..errors import ConfigurationError
-
-try:  # The numpy backend is optional; the stdlib backend always works.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
-    "BACKENDS",
     "NEG_INF",
     "backend",
     "closure_from_rows",
-    "counters",
     "finite_entries",
     "max_merge",
-    "max_merge_rows",
-    "numpy_available",
-    "pair_tables",
     "prepare_values",
-    "relax_sources",
-    "row_buffer",
-    "row_from_list",
-    "row_to_list",
-    "scan_pairs",
-    "set_backend",
     "threshold_mask",
-    "use",
 ]
 
 NEG_INF = float("-inf")
 
-#: Accepted ``REPRO_VECTOR`` values.
-BACKENDS = ("auto", "numpy", "stdlib", "off")
-
-#: Vectorized-kernel invocation counters (module-wide; sessions snapshot
-#: and diff them for their ``engine_stats``).  ``vector_kernel_calls``
-#: counts *vectorized* invocations only (numpy buffers; the scalar forms do
-#: not count), while ``row_block_patches`` / ``mirror_bulk_seeds`` are
-#: *path* counters: they increment on every :func:`max_merge_rows` /
-#: :func:`relax_sources` call regardless of backend, so the CI smoke job
-#: can assert the batched push path is taken even where the kernels run
-#: their scalar forms (``REPRO_VECTOR=off`` and the no-numpy leg).
-counters: Dict[str, int] = {
-    "vector_kernel_calls": 0,
-    "row_block_patches": 0,
-    "mirror_bulk_seeds": 0,
-}
-
-_active: Optional[str] = None
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can be activated in this process."""
-
-    return _np is not None
-
-
-def _resolve(spec: str, source: str = "REPRO_VECTOR") -> str:
-    if spec not in BACKENDS:
-        raise ConfigurationError(
-            f"{source}={spec!r} must be one of {', '.join(BACKENDS)}"
-        )
-    if spec == "numpy" and _np is None:
-        raise ConfigurationError(
-            f"{source}={spec!r} requests the numpy backend, but numpy is not"
-            " importable; use 'stdlib', 'off', or 'auto'"
-        )
-    if spec == "auto":
-        return "numpy" if _np is not None else "stdlib"
-    return spec
-
 
 def backend() -> str:
-    """The active kernel backend, resolving ``REPRO_VECTOR`` on first use."""
+    """Name of the kernel implementation (recorded by benchmark runs)."""
 
-    global _active
-    if _active is None:
-        _active = _resolve(os.environ.get("REPRO_VECTOR", "auto"))
-    return _active
-
-
-def set_backend(spec: Optional[str]) -> str:
-    """Activate a backend; ``None`` re-reads ``REPRO_VECTOR`` lazily."""
-
-    global _active
-    if spec is None:
-        _active = None
-        return backend()
-    _active = _resolve(spec)
-    return _active
-
-
-@contextmanager
-def use(spec: str) -> Iterator[str]:
-    """Temporarily activate a backend (tests and the benchmark delta table)."""
-
-    global _active
-    previous = _active
-    _active = _resolve(spec)
-    try:
-        yield _active
-    finally:
-        _active = previous
-
-
-# --------------------------------------------------------------------- #
-# Row buffers
-# --------------------------------------------------------------------- #
-#: Row width below which even the numpy backend keeps rows as plain lists.
-#: Measured on this container (benchmarks/bench_batchpush.py,
-#: ``BENCH_batchpush.json`` section ``row_gate``): per-call numpy overhead
-#: loses to the plain-list scalar loops on narrow rows (per-row max_merge
-#: crosses over around n~200, the block kernel around n~180 with realistic
-#: row counts, threshold_mask around n~96; at n=240 the ndarray forms win
-#: 1.3x / 1.45x / 2.9x respectively), and the stdlib ``array('d')``
-#: buffers lose at *every* width because each element read boxes a fresh
-#: float (the BENCH_vector.json anomaly: stdlib max_merge 0.00383s vs off
-#: 0.00283s at row width 240).  Dispatch therefore keys on the measured
-#: crossover of the row width, not on backend presence alone: plain lists
-#: below it, ndarrays at or above it, ``array('d')`` rows never.
-_ROW_NUMPY_MIN = 160
-
-
-def row_from_list(values: List[float]):
-    """A longest-path row buffer for the active backend (no width gate).
-
-    ``off`` and ``stdlib`` return the list itself (no copy -- the scalar
-    loops are the measured winners over ``array('d')`` buffers, whose
-    element reads box a fresh float each); ``numpy`` copies into a
-    contiguous ndarray.  Hot analysis code uses :func:`row_buffer` instead,
-    which additionally applies the measured :data:`_ROW_NUMPY_MIN` width
-    gate; this ungated form is the parity-test / benchmark constructor that
-    always yields the backend's vector buffer type.
-    """
-
-    if backend() == "numpy":
-        return _np.asarray(values, dtype=_np.float64)
-    return values
-
-
-def row_buffer(values: List[float]):
-    """A row buffer for the active backend under the measured width gate.
-
-    The analysis-facing constructor: rows narrower than
-    :data:`_ROW_NUMPY_MIN` stay plain lists even under the numpy backend
-    (the scalar loops win there -- see the gate's measurement note), so
-    every kernel dispatching on the runtime buffer type takes the fastest
-    measured form for the instance size at hand.
-    """
-
-    if backend() == "numpy" and len(values) >= _ROW_NUMPY_MIN:
-        return _np.asarray(values, dtype=_np.float64)
-    return values
-
-
-def row_to_list(row) -> List[float]:
-    """Plain-``float`` list view of a row (the string-facing boundary).
-
-    Guarantees no ``numpy.float64`` leaks into name-keyed dict views or
-    report bytes: ``ndarray.tolist``/``array.tolist`` both box to built-in
-    floats.
-    """
-
-    if type(row) is list:
-        return row
-    return row.tolist()
+    return "python"
 
 
 # --------------------------------------------------------------------- #
 # Kernel 1: whole-row longest-path max-merge
 # --------------------------------------------------------------------- #
-def finite_entries(row_dst):
+def finite_entries(row_dst: Sequence[float]) -> List[Tuple[int, float]]:
     """Hoisted finite continuation entries of an arc's destination row.
 
     The per-arc precomputation of the push patch loop: the ``(y, lp(dst,
-    y))`` pairs with a finite longest path.  The numpy form is an ``(index
-    array, value array)`` pair consumed by the vector :func:`max_merge`;
-    the scalar form is the PR-6 list of pairs.
+    y))`` pairs with a finite longest path, in ascending ``y``.
     """
 
-    if _np is not None and type(row_dst) is _np.ndarray:
-        idx = _np.nonzero(row_dst != NEG_INF)[0]
-        return (idx, row_dst[idx])
     return [(y, dv) for y, dv in enumerate(row_dst) if dv != NEG_INF]
 
 
-def max_merge(row, shift, finite):
+def max_merge(row: List[float], shift: float, finite):
     """``row'[y] = max(row[y], shift + lp(dst, y))`` over the finite entries.
 
     Returns ``(patched_row, changed_indices)`` -- a fresh copy-on-write
-    buffer and the ascending indices that grew -- or ``(None, None)`` when
-    nothing improved.  The changed-index list feeds the DV dirty-region
-    recheck, so its order (ascending ``y``) is part of the contract.
+    row and the ascending indices that grew -- or ``(None, None)`` when
+    nothing improved (*row* itself is never mutated).  The changed-index
+    list feeds the DV dirty-region recheck, so its order is part of the
+    contract.
     """
 
-    if _np is not None and type(row) is _np.ndarray:
-        counters["vector_kernel_calls"] += 1
-        idx, vals = finite
-        cand = vals + shift
-        improved = cand > row[idx]
-        if not improved.any():
-            return None, None
-        patched = row.copy()
-        where = idx[improved]
-        patched[where] = cand[improved]
-        return patched, where.tolist()
-    if type(row) is not list:
-        counters["vector_kernel_calls"] += 1
     patched = None
     changed: Optional[List[int]] = None
     for y, dv in finite:
@@ -280,179 +78,21 @@ def max_merge(row, shift, finite):
     return patched, changed
 
 
-def max_merge_rows(rows, shifts, finite):
-    """Block form of :func:`max_merge`: patch several rows under one arc.
-
-    *rows* are the buffers with a finite ``lp(x, src)`` (all the same
-    backend type), *shifts* the per-row ``lp(x, src) + w`` values, *finite*
-    the arc destination's hoisted continuation entries.  Unlike the
-    copy-on-write :func:`max_merge`, the rows are patched **in place** --
-    this is the batched push path, whose undo format is the returned
-    pre-image block instead of per-row copies.
-
-    Returns ``(changed_positions, changed_cols, snapshots)``:
-
-    * ``changed_positions`` -- ascending indices into *rows* that improved;
-    * ``changed_cols`` -- per changed row, the ascending column ids that
-      grew (the ``lp_changes`` contract of the per-row kernel);
-    * ``snapshots`` -- per changed row, its full pre-image (under numpy one
-      contiguous ``(changed, n)`` block, handed out as row views).
-
-    The scalar form runs the exact per-row reference loop (every finite
-    entry has a distinct column, so comparing against the mutating row is
-    identical to comparing against a pristine copy), and the numpy form
-    performs the same IEEE-754 adds/compares elementwise, so the patched
-    state is byte-identical across backends (``tests/test_batchpush.py``).
-    """
-
-    counters["row_block_patches"] += 1
-    if not rows:
-        return [], [], []
-    if _np is not None and type(rows[0]) is _np.ndarray:
-        counters["vector_kernel_calls"] += 1
-        idx, vals = finite
-        if len(idx) == 0:
-            return [], [], []
-        stacked = _np.stack(rows)
-        sub = stacked[:, idx]
-        cand = _np.asarray(shifts, dtype=_np.float64)[:, None] + vals[None, :]
-        improved = cand > sub
-        rowmask = improved.any(axis=1)
-        if not rowmask.any():
-            return [], [], []
-        changed_positions = _np.nonzero(rowmask)[0]
-        # The pre-image snapshot: one contiguous block of exactly the rows
-        # about to change (fancy indexing copies out of `stacked`, which
-        # still holds every pre-image).
-        snapshot_block = stacked[changed_positions]
-        changed_cols: List[List[int]] = []
-        for r in changed_positions:
-            mask = improved[r]
-            cols = idx[mask]
-            rows[r][cols] = cand[r][mask]
-            changed_cols.append(cols.tolist())
-        return (
-            changed_positions.tolist(),
-            changed_cols,
-            list(snapshot_block),
-        )
-    changed_positions_s: List[int] = []
-    changed_cols_s: List[List[int]] = []
-    snapshots: List[List[float]] = []
-    for p, row in enumerate(rows):
-        shift = shifts[p]
-        snap = None
-        cols: Optional[List[int]] = None
-        for y, dv in finite:
-            cand = shift + dv
-            if cand > row[y]:
-                if snap is None:
-                    snap = row[:]
-                    cols = [y]
-                else:
-                    cols.append(y)  # type: ignore[union-attr]
-                row[y] = cand
-        if snap is not None:
-            changed_positions_s.append(p)
-            changed_cols_s.append(cols)  # type: ignore[arg-type]
-            snapshots.append(snap)
-    return changed_positions_s, changed_cols_s, snapshots
-
-
-# --------------------------------------------------------------------- #
-# Kernel 1b: multi-source longest-path seeding (killed-mirror rebuilds)
-# --------------------------------------------------------------------- #
-def relax_sources(adj, order, start, sources, n):
-    """Seed several longest-path rows in one pass over the shared topo order.
-
-    *adj* is the dense flat out-adjacency (op id -> list of ``(succ_id,
-    weight)`` pairs, indexable by id), *order* is the shared topological
-    order, *start* the earliest position any source occupies (positions
-    before it cannot reach any source), *sources* the distinct op ids to
-    seed, *n* the row width.  Returns one row buffer per source, in
-    *sources* order, each exactly what the per-source single-relaxation
-    pass would have produced (``tests/test_batchpush.py`` pins the
-    byte-identity; the seed distance is the integer ``0``, matching the
-    reference seeding).
-
-    The batching win here is **algorithmic, not SIMD**: one walk over the
-    ``order[start:]`` suffix shares each node's adjacency reads across all
-    k rows instead of re-walking per source.  An ndarray (k x n) variant
-    was measured on this container (benchmarks/bench_batchpush.py,
-    ``BENCH_batchpush.json`` section ``relax_seeding``) and *lost* at every
-    realistic shape -- 0.024s vs 0.0017s at (n=240, k=2), still 1.8x
-    slower at k=32 -- because the sparse walk decays into two numpy calls
-    per edge on length-k vectors.  Dispatch keyed on the measurements, so
-    this kernel is scalar on every backend; only the returned buffer type
-    follows :func:`row_buffer`.
-    """
-
-    counters["mirror_bulk_seeds"] += 1
-    rows = []
-    for src in sources:
-        row: List[float] = [NEG_INF] * n
-        row[src] = 0
-        rows.append(row)
-    for nid in order[start:]:
-        succs = adj[nid]
-        if not succs:
-            continue
-        for row in rows:
-            d = row[nid]
-            if d == NEG_INF:
-                continue
-            for ni, w in succs:
-                nd = d + w
-                if nd > row[ni]:
-                    row[ni] = nd
-    return [row_buffer(row) for row in rows]
-
-
 # --------------------------------------------------------------------- #
 # Kernel 2: DV threshold scan (killer bitset from a longest-path row)
 # --------------------------------------------------------------------- #
 def prepare_values(
-    value_opids: Sequence[int], delta_w: Sequence[int], n: Optional[int] = None
-):
-    """Backend handle over the value-id / delta_w tables of one DV state.
+    value_opids: Sequence[int], delta_w: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """The value-id / delta_w tables of one DV state, for :func:`threshold_mask`."""
 
-    Built once per killing-function rebuild; :func:`threshold_mask` then
-    gathers through it on every killer-row seed.  Pass the row width *n*
-    when known: below :data:`_ROW_NUMPY_MIN` the rows themselves are plain
-    lists (see :func:`row_buffer`), so the prep stays scalar to match.
-    """
-
-    if backend() == "numpy" and (n is None or n >= _ROW_NUMPY_MIN):
-        return (
-            _np.asarray(list(value_opids), dtype=_np.intp),
-            _np.asarray(list(delta_w), dtype=_np.int64),
-        )
     return (list(value_opids), list(delta_w))
 
 
-def threshold_mask(row, prep, read: int) -> int:
-    """The killer's DV bitset: bit ``j`` set iff ``lp(k, v_j) >= read - dw_j``.
-
-    Always returns a built-in Python int (the bitset code downstream is
-    big-int arithmetic).
-    """
+def threshold_mask(row: Sequence[float], prep, read: int) -> int:
+    """The killer's DV bitset: bit ``j`` set iff ``lp(k, v_j) >= read - dw_j``."""
 
     vids, dw = prep
-    if (
-        _np is not None
-        and type(row) is _np.ndarray
-        and type(vids) is _np.ndarray
-    ):
-        counters["vector_kernel_calls"] += 1
-        if len(vids) == 0:
-            return 0
-        dist = row[vids]
-        ok = (dist != NEG_INF) & (dist >= (read - dw))
-        return int.from_bytes(
-            _np.packbits(ok, bitorder="little").tobytes(), "little"
-        )
-    if type(row) is not list:
-        counters["vector_kernel_calls"] += 1
     mask = 0
     for j, vid in enumerate(vids):
         dist = row[vid]
@@ -468,37 +108,10 @@ def closure_from_rows(rows: Sequence[int]) -> Optional[List[int]]:
     """Transitive-closure bitsets of a bit relation, or None on a cycle.
 
     Kahn over the bit relation, then closure accumulation in reverse
-    topological order.  The closure of a DAG is unique, so the result is
-    independent of the topological order either implementation walks.
-
-    Dispatch note: the numpy word-matrix form only pays for itself on wide
-    relations -- Python's big-int ``|`` is already a vectorized word loop in
-    C, and the scalar kernel has no per-call conversion.  The measured
-    crossover on the benchmark suite sits far above the paper's instance
-    sizes (a few hundred values), so the scalar kernel is the wired default
-    and the numpy form is kept parity-tested for wider ground sets.
+    topological order.  Python's big-int ``|`` is already a word loop in C,
+    so each accumulation step is one machine-word OR per 64 values.
     """
 
-    if (
-        _np is not None
-        and len(rows) >= _CLOSURE_NUMPY_MIN
-        and backend() == "numpy"
-        and sys.byteorder == "little"
-    ):
-        return _closure_numpy(rows)
-    return _closure_scalar(rows)
-
-
-#: Ground-set size below which the closure always takes the scalar big-int
-#: kernel.  benchmarks/bench_vector.py measures the scalar kernel ahead
-#: through its whole range (n <= 2304: its big-int OR is itself a C word
-#: loop with no per-call conversion), so this gate sits above anything the
-#: suite produces and the numpy form is a parity-tested alternative for
-#: far wider ground sets.
-_CLOSURE_NUMPY_MIN = 4096
-
-
-def _closure_scalar(rows: Sequence[int]) -> Optional[List[int]]:
     n = len(rows)
     indeg = [0] * n
     for mask in rows:
@@ -531,161 +144,3 @@ def _closure_scalar(rows: Sequence[int]) -> Optional[List[int]]:
             mask ^= low
         closure[i] = acc
     return closure
-
-
-def _closure_numpy(rows: Sequence[int]) -> Optional[List[int]]:
-    counters["vector_kernel_calls"] += 1
-    n = len(rows)
-    if n == 0:
-        return []
-    nwords = (n + 63) // 64
-    nbytes = nwords * 8
-    buf = _np.empty((n, nbytes), dtype=_np.uint8)
-    for i, mask in enumerate(rows):
-        buf[i] = _np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=_np.uint8)
-    bits = _np.unpackbits(buf, axis=1, bitorder="little")[:, :n]
-    indeg = bits.sum(axis=0, dtype=_np.int64)
-    succ = [_np.nonzero(bits[i])[0] for i in range(n)]
-    stack = [int(i) for i in _np.nonzero(indeg == 0)[0]]
-    order: List[int] = []
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        s = succ[i]
-        if len(s):
-            indeg[s] -= 1
-            for j in s[indeg[s] == 0]:
-                stack.append(int(j))
-    if len(order) != n:
-        return None
-    words = buf.view(_np.dtype("<u8"))
-    closure = _np.zeros((n, nwords), dtype=_np.dtype("<u8"))
-    for i in reversed(order):
-        s = succ[i]
-        if len(s):
-            closure[i] = _np.bitwise_or.reduce(closure[s], axis=0) | words[i]
-        else:
-            closure[i] = words[i]
-    return [
-        int.from_bytes(closure[i].tobytes(), "little") for i in range(n)
-    ]
-
-
-# --------------------------------------------------------------------- #
-# Kernel 4: candidate-pair scan over flat verdict tables
-# --------------------------------------------------------------------- #
-def pair_tables(n2: int):
-    """Flat verdict tables mirroring the session's pair-verdict dict.
-
-    ``xs[key]`` holds the cached pair-local quantity ``X`` of a candidate
-    verdict; ``arcs[key]`` encodes the verdict kind: ``-1`` missing, ``-2``
-    implied, ``-3`` none/illegal, ``>= 0`` the candidate's arc count.
-    Returns None when the backend is ``off`` (the session keeps its scalar
-    dict loop).
-    """
-
-    b = backend()
-    if b == "numpy":
-        return (
-            _np.zeros(n2, dtype=_np.float64),
-            _np.full(n2, -1, dtype=_np.int64),
-        )
-    if b == "stdlib":
-        return (array("d", bytes(8 * n2)), array("q", [-1]) * n2)
-    return None
-
-
-#: Single-entry memo for the numpy scan's derived index arrays, keyed by
-#: ``(n, tuple(idx))``.
-_scan_key_cache: Optional[Tuple] = None
-
-
-def scan_pairs(
-    xs,
-    arcs,
-    idx: Sequence[int],
-    n: int,
-    cp: int,
-    base_cp: int,
-    fresh: Callable[[int, int, int], None],
-):
-    """One quadratic candidate-pair scan over the flat verdict tables.
-
-    *idx* maps scan positions to value indices (all distinct); the pair at
-    positions ``(a, b)`` has flat key ``idx[a] * n + idx[b]``.  Missing
-    verdicts are filled through ``fresh(a, b, key)``, which must leave the
-    tables updated.  Returns ``(best, best_key, implied, reused)`` where
-    *best* is the winning ``(cp_increase, arc_count)`` under the strict
-    first-minimum lexicographic order of the scalar scan (row-major pair
-    order), or None when no pair is applicable.
-    """
-
-    counters["vector_kernel_calls"] += 1
-    if _np is not None and type(arcs) is _np.ndarray:
-        global _scan_key_cache
-        k = len(idx)
-        # The candidate set is stable across the many scans of one
-        # reduction iteration, so the derived key/off-diagonal arrays are
-        # memoized (single entry -- scans interleave per session, not per
-        # graph).
-        sig = (n, tuple(idx))
-        if _scan_key_cache is not None and _scan_key_cache[0] == sig:
-            keys, offdiag = _scan_key_cache[1]
-        else:
-            ii = _np.asarray(list(idx), dtype=_np.int64)
-            keys = (ii[:, None] * n + ii[None, :]).ravel()
-            offdiag = ~_np.eye(k, dtype=bool).ravel()
-            _scan_key_cache = (sig, (keys, offdiag))
-        codes = arcs[keys]
-        missing = _np.nonzero(offdiag & (codes == -1))[0]
-        for p in missing:
-            p = int(p)
-            fresh(p // k, p % k, int(keys[p]))
-        if len(missing):
-            codes = arcs[keys]
-        reused = int(offdiag.sum()) - len(missing)
-        implied = int((offdiag & (codes == -2)).sum())
-        valid = offdiag & (codes >= 0)
-        if not valid.any():
-            return None, None, implied, reused
-        vpos = _np.nonzero(valid)[0]
-        x = xs[keys[vpos]]
-        # int(x if x > cp else cp) - base_cp, elementwise: both int() and
-        # the int64 cast truncate toward zero, so the arithmetic is
-        # bit-for-bit the scalar loop's.
-        inc = _np.where(x > cp, x, float(cp)).astype(_np.int64) - base_cp
-        arc_counts = codes[vpos]
-        min_inc = inc.min()
-        at_min = inc == min_inc
-        min_arc = arc_counts[at_min].min()
-        sel = int(_np.nonzero(at_min & (arc_counts == min_arc))[0][0])
-        best = (int(min_inc), int(min_arc))
-        return best, int(keys[vpos[sel]]), implied, reused
-    k = len(idx)
-    best: Optional[Tuple[int, int]] = None
-    best_key: Optional[int] = None
-    reused = 0
-    implied = 0
-    for a in range(k):
-        base = idx[a] * n
-        for b in range(k):
-            if a == b:
-                continue
-            key = base + idx[b]
-            code = arcs[key]
-            if code == -1:
-                fresh(a, b, key)
-                code = arcs[key]
-            else:
-                reused += 1
-            if code == -2:
-                implied += 1
-                continue
-            if code == -3:
-                continue
-            x = xs[key]
-            inc = int(x if x > cp else cp) - base_cp
-            if best is None or (inc, code) < best:
-                best = (inc, code)
-                best_key = key
-    return best, best_key, implied, reused

@@ -1,11 +1,10 @@
 """The incremental reduction session: one working DDG, mutated with undo.
 
-``reduce_saturation_heuristic`` historically rebuilt the world on every
-iteration: ``ddg.copy()`` per applied serialization, a cold
-:class:`~repro.analysis.context.AnalysisContext` per copy, and a from-scratch
-``greedy_saturation`` -- even though consecutive iterations differ by the two
-or three serial arcs of one value-serialization.  :class:`ReductionSession`
-replaces that with a single working graph mutated in place:
+Consecutive iterations of the reduction heuristic differ by the two or
+three serial arcs of one value-serialization, so instead of a graph copy, a
+cold :class:`~repro.analysis.context.AnalysisContext` and a from-scratch
+``greedy_saturation`` per iteration (the from-scratch driver),
+:class:`ReductionSession` keeps a single working graph mutated in place:
 
 * :meth:`push` applies serialization arcs to the working graph *and* its
   bottom-normalised mirror (``DDG.version`` is bumped by the mutation, so
@@ -19,7 +18,10 @@ replaces that with a single working graph mutated in place:
 * candidate serializations are scored without any graph copy through the
   shared mini-DAG helpers of :mod:`repro.analysis.graphalgo`, and a cheap
   reachability pre-filter (:meth:`implied`) rejects pairs whose ordering the
-  transitive closure already forces before ``legal_serialization`` is paid.
+  transitive closure already forces before ``legal_serialization`` is paid;
+* candidate verdicts live in one pair-keyed dict, framed per push by a
+  delta (dropped entries, added keys) so :meth:`pop` restores it without
+  copying, and the full pair scan (:meth:`scan`) is one loop over it.
 
 The session produces results identical to the from-scratch loop (pinned by
 ``tests/test_reduction_incremental.py`` and asserted with byte-compared
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import flatbuf
 from ..analysis.context import context_for
 from ..core.graph import DDG, Edge
 from ..core.types import BOTTOM, DependenceKind, RegisterType, Value, canonical_type
@@ -75,7 +76,7 @@ class ReductionSession:
     ----------
     ddg:
         The original graph; it is never touched.  The session works on a
-        copy named ``<name>+reduced`` exactly like the historic loop did.
+        copy named ``<name>+reduced``, like the from-scratch driver.
     rtype:
         Register type whose saturation is being reduced.
     mode:
@@ -83,7 +84,7 @@ class ReductionSession:
         default.
     prune_redundant:
         Drop closure-implied serial arcs from the working copy up front
-        (mirrors the historic behaviour; the dropped arcs are in
+        (like the from-scratch driver; the dropped arcs are in
         :attr:`pruned`).
     """
 
@@ -94,7 +95,6 @@ class ReductionSession:
         mode: str = SerializationMode.OFFSETS,
         prune_redundant: bool = True,
         name: Optional[str] = None,
-        frame_mode: str = "block",
     ) -> None:
         self.rtype = canonical_type(rtype)
         self.mode = mode
@@ -102,11 +102,7 @@ class ReductionSession:
         self.pruned: List[Edge] = []
         if prune_redundant:
             working, self.pruned = prune_redundant_serial_arcs(working)
-        # frame_mode selects the working analysis's undo-frame format:
-        # "block" (default) batches the per-push row patching through the
-        # `max_merge_rows` kernel; "per-row" keeps the PR-6 copy-on-write
-        # reference path (`tests/test_batchpush.py` pins their equality).
-        self._analysis = IncrementalAnalysis(working, frame_mode=frame_mode)
+        self._analysis = IncrementalAnalysis(working)
         self._saturation = IncrementalSaturation(self._analysis, self.rtype)
         self._saturation.killing_set_cache = _KillingSetCache()
         # Flat pair keying: the saturation state already indexes the mirror's
@@ -145,14 +141,6 @@ class ReductionSession:
         # Keys with no proto skeleton (BOTTOM endpoints): no nodes to index
         # them under, so they are conservatively dropped on every push.
         self._volatile_keys: set = set()
-        # Flat verdict tables mirroring `_pair_verdicts` for int keys
-        # (``xs[key]`` = cached X, ``arcs[key]`` = kind/arc-count code; see
-        # :func:`repro.analysis.flatbuf.pair_tables`).  Allocated lazily on
-        # the first scan (None until then, False when the backend is off);
-        # `_scan_dirty` marks them for a rebuild after a wholesale verdict
-        # restore (pop), the only maintenance that is not per-key.
-        self._scan_tables = None
-        self._scan_dirty = False
         self._cp_state_version = -1
         self._asap: Dict[str, int] = {}
         self._to_sinks: Dict[str, float] = {}
@@ -415,27 +403,7 @@ class ReductionSession:
         ``((cp_increase, arc_count), payload)`` for the winning pair under
         the same strict lexicographic order the generic driver loop used, or
         None when no pair is applicable.
-
-        When the :mod:`~repro.analysis.flatbuf` backend is active the scan
-        runs as one :func:`~repro.analysis.flatbuf.scan_pairs` kernel call
-        over the flat verdict tables (numpy: gather + first-minimum
-        reduction; stdlib: the same loop over contiguous buffers); values
-        outside the mirror index fall back to the dict loop below, which
-        stays the ``REPRO_VECTOR=off`` reference.
         """
-
-        tables = self._ensure_scan_tables()
-        if tables is not None:
-            vindex = self._vindex
-            idx: List[int] = []
-            for v in saturating:
-                vi = vindex.get(v.node)
-                if vi is None:
-                    break
-                idx.append(vi)
-            else:
-                if len(set(idx)) == len(idx):
-                    return self._scan_tables_path(tables, saturating, idx, base_cp)
 
         verdicts = self._pair_verdicts
         vindex = self._vindex
@@ -499,76 +467,13 @@ class ReductionSession:
             bucket.add(key)
 
     def _store_verdict(self, key: object, verdict: Tuple, after: Value) -> None:
-        """Store a fresh verdict in the dict, the node index and the tables."""
+        """Store a fresh verdict in the dict and the node index."""
 
         self._pair_verdicts[key] = verdict
         frames = self._verdict_frames
         if frames:
             frames[-1][1].append(key)
         self._register_verdict_key(key, after.node)
-        tables = self._scan_tables
-        if tables and type(key) is int:
-            self._encode_verdict(tables, key, verdict)
-
-    def _encode_verdict(self, tables, key: int, verdict: Tuple) -> None:
-        """Mirror one verdict into the flat scan tables (see `pair_tables`)."""
-
-        xs, arcs = tables
-        if verdict is self._V_IMPLIED:
-            arcs[key] = -2
-        elif verdict is self._V_NONE:
-            arcs[key] = -3
-        else:
-            xs[key] = verdict[1]
-            arcs[key] = verdict[2]
-
-    def _ensure_scan_tables(self):
-        """The flat verdict tables, or None when the backend is off.
-
-        Lazily allocated (and refilled from the verdict dict after a
-        wholesale restore) so push/pop-only sessions never pay for them.
-        """
-
-        tables = self._scan_tables
-        if tables is False:
-            return None
-        if tables is None or self._scan_dirty:
-            tables = flatbuf.pair_tables(self._nvals * self._nvals)
-            if tables is None:
-                self._scan_tables = False
-                return None
-            self._scan_tables = tables
-            encode = self._encode_verdict
-            for key, verdict in self._pair_verdicts.items():
-                if type(key) is int:
-                    encode(tables, key, verdict)
-            self._scan_dirty = False
-        return tables
-
-    def _scan_tables_path(
-        self, tables, saturating, idx: List[int], base_cp: int
-    ) -> Tuple[Optional[Tuple], int]:
-        """The kernel-backed scan (same verdicts, winner and counters)."""
-
-        self._refresh_cp_state()
-        cp = self._cp
-        consider_fresh = self._consider_fresh
-        store = self._store_verdict
-
-        def fresh(a: int, b: int, key: int) -> None:
-            v = saturating[b]
-            store(key, consider_fresh(saturating[a], v, key), v)
-
-        xs, arcs = tables
-        best, best_key, implied_count, reused = flatbuf.scan_pairs(
-            xs, arcs, idx, self._nvals, cp, base_cp, fresh
-        )
-        self.stats["pair_verdicts_reused"] += reused
-        self.stats["implied_skipped"] += implied_count
-        if best is None:
-            return None, implied_count
-        payload = self._pair_verdicts[best_key][3]
-        return (best, payload), implied_count
 
     def record_scan_time(self, seconds: float) -> None:
         """Accumulate one iteration's candidate-scan wall clock (stage timer)."""
@@ -639,7 +544,7 @@ class ReductionSession:
 
         The caller is expected to pass arcs vetted by
         :meth:`legal_serialization`; acyclicity is asserted exactly like the
-        historic loop asserted it after every ``apply_serialization``.
+        from-scratch driver asserts it after every ``apply_serialization``.
         """
 
         edges = list(edges)
@@ -695,17 +600,12 @@ class ReductionSession:
         # under exactly its target and proto readers; proto-less keys are
         # volatile), O(|dirty| + dropped) instead of O(|cache|).  Dropped
         # entries land in the undo frame so `pop` can restore them without
-        # the dict ever being copied; every key actually dropped is reset
-        # in the flat scan tables too, keeping them an exact mirror.
-        tables = self._scan_tables or None
-        arcs = tables[1] if tables else None
+        # the dict ever being copied.
         missing = _MISS
         for key in self._volatile_keys:
             v = verdicts.pop(key, missing)
             if v is not missing:
                 dropped[key] = v
-                if arcs is not None and type(key) is int:
-                    arcs[key] = -1
         index = self._verdict_node_keys
         for node in dirty:
             keys = index.pop(node, None)
@@ -718,8 +618,6 @@ class ReductionSession:
                     v = verdicts.pop(key, missing)
                     if v is not missing:
                         dropped[key] = v
-                        if arcs is not None and type(key) is int:
-                            arcs[key] = -1
 
     def pop(self) -> None:
         """Undo the most recent push, restoring the exact prior state."""
@@ -742,20 +640,6 @@ class ReductionSession:
                     register(key, values[key % nvals].node)
                 else:
                     register(key, key[1].node)
-        # Mirror the delta into the flat tables when they exist; otherwise
-        # they are refilled lazily on the next scan.
-        tables = self._scan_tables or None
-        if tables:
-            arcs = tables[1]
-            for key in added:
-                if type(key) is int:
-                    arcs[key] = -1
-            encode = self._encode_verdict
-            for key, verdict in dropped.items():
-                if type(key) is int:
-                    encode(tables, key, verdict)
-        else:
-            self._scan_dirty = True
 
     def reset_to_depth(self, depth: int) -> None:
         """Pop frames until exactly *depth* pushes remain applied.

@@ -47,7 +47,7 @@ from .pkill import (
 )
 from .result import SaturationResult
 
-__all__ = ["ComponentCache", "greedy_saturation", "greedy_killing_function"]
+__all__ = ["greedy_saturation", "greedy_killing_function"]
 
 #: Components whose killer side is at most this large are solved exhaustively.
 _EXHAUSTIVE_COMPONENT_LIMIT = 10
@@ -95,125 +95,6 @@ def _bipartite_components(
         seen_values |= comp_values
         components.append((sorted(comp_values), sorted(comp_killers)))
     return components
-
-
-class ComponentCache:
-    """Cross-iteration cache of the bipartite killing components.
-
-    The incremental reduction driver re-runs Greedy-k after every push, and
-    :func:`_bipartite_components` walked the whole value/killer graph from
-    scratch each time even though a push perturbs only the components near
-    the new arcs' endpoints.  This cache keeps the previous decomposition
-    and *repairs* it: the copy-on-write ``pk`` maintenance replaces the
-    killer-list object of exactly the dirty values (and pops restore the
-    old objects), so ``pk[v] is cached_row`` identifies the clean values
-    without comparing content.  Components containing a dirty value -- or a
-    killer appearing in a dirty value's new list, which could link it into
-    an existing component -- are dissolved and re-decomposed from the freed
-    sub-relation; everything else is returned as the identical list
-    objects, which also keeps `_signature_entry_matches`'s identity fast
-    path hot.
-
-    One dissolution round suffices: a kept component's values all have
-    unchanged killer lists, and any killer that could connect a freed value
-    to a kept component already belonged to that value's old (dissolved)
-    component or appears in a dirty value's new list (also dissolved).
-
-    The emitted order is provably the fresh function's: it emits one
-    component per first-in-``pk``-order member value, so sorting the merged
-    kept + recomputed components by their leader (minimum ``pk`` position
-    over the component's values) reproduces the from-scratch order exactly
-    -- and through it the killing function's dict insertion order, which
-    persists into stored result bytes.  ``reused`` counts components
-    returned without recomputation (surfaced as ``components_reused``) and
-    ``seconds`` accumulates decompose wall clock (the ``greedy_decompose``
-    stage timer).
-    """
-
-    def __init__(self) -> None:
-        #: Value -> its pk killer-list object at the last decompose (the
-        #: identity witness); None until the first call.
-        self._rows: Optional[Dict[Value, List[str]]] = None
-        #: Value -> position in pk iteration order (stable while the key
-        #: set is unchanged: the engine's epochs copy via ``dict(pk)``).
-        self._pos: Dict[Value, int] = {}
-        #: (leader, comp_values, comp_killers), sorted by leader.
-        self._comps: List[Tuple[int, List[Value], List[str]]] = []
-        self._value_comp: Dict[Value, int] = {}
-        self._killer_comp: Dict[str, int] = {}
-        self.reused = 0
-        self.seconds = 0.0
-
-    def decompose(
-        self, pk: Mapping[Value, List[str]]
-    ) -> List[Tuple[List[Value], List[str]]]:
-        """The components of *pk*, equal to :func:`_bipartite_components`."""
-
-        t0 = time.perf_counter()
-        try:
-            if self._rows is None or self._rows.keys() != pk.keys():
-                return self._rebuild(pk)
-            rows = self._rows
-            dirty = [v for v in pk if rows[v] is not pk[v]]
-            if not dirty:
-                self.reused += len(self._comps)
-                return [(vals, kills) for _l, vals, kills in self._comps]
-            return self._repair(pk, dirty)
-        finally:
-            self.seconds += time.perf_counter() - t0
-
-    def _rebuild(self, pk: Mapping[Value, List[str]]):
-        comps = _bipartite_components(pk)
-        self._pos = {v: i for i, v in enumerate(pk)}
-        pos = self._pos
-        self._comps = [
-            (min(pos[v] for v in vals), vals, kills) for vals, kills in comps
-        ]
-        self._index()
-        self._rows = dict(pk)
-        return comps
-
-    def _index(self) -> None:
-        self._value_comp = {}
-        self._killer_comp = {}
-        for ci, (_l, vals, kills) in enumerate(self._comps):
-            for v in vals:
-                self._value_comp[v] = ci
-            for k in kills:
-                self._killer_comp[k] = ci
-
-    def _repair(self, pk: Mapping[Value, List[str]], dirty: List[Value]):
-        doomed: Set[int] = set()
-        for v in dirty:
-            ci = self._value_comp.get(v)
-            if ci is not None:
-                doomed.add(ci)
-            for k in pk[v]:
-                ck = self._killer_comp.get(k)
-                if ck is not None:
-                    doomed.add(ck)
-        freed: Set[Value] = set(dirty)
-        kept: List[Tuple[int, List[Value], List[str]]] = []
-        for ci, comp in enumerate(self._comps):
-            if ci in doomed:
-                freed.update(comp[1])
-            else:
-                kept.append(comp)
-        self.reused += len(kept)
-        # The freed sub-relation in pk order; its fresh decomposition plus
-        # the kept components, re-sorted by leader, is the from-scratch
-        # decomposition (see the class docstring for the argument).
-        sub_pk = {v: pk[v] for v in pk if v in freed}
-        pos = self._pos
-        merged = kept + [
-            (min(pos[v] for v in vals), vals, kills)
-            for vals, kills in _bipartite_components(sub_pk)
-        ]
-        merged.sort(key=lambda comp: comp[0])
-        self._comps = merged
-        self._index()
-        self._rows = dict(pk)
-        return [(vals, kills) for _l, vals, kills in merged]
 
 
 def _descendant_values(
@@ -340,7 +221,6 @@ def greedy_killing_function(
     ctx: Optional[AnalysisContext] = None,
     killing_set_cache: Optional[MutableMapping] = None,
     signature_cache: Optional[MutableMapping] = None,
-    component_cache: Optional[ComponentCache] = None,
 ) -> KillingFunction:
     """The killing function selected by the Greedy-k heuristic (before fallback).
 
@@ -352,10 +232,11 @@ def greedy_killing_function(
     front cache over it (see :func:`_signature_entry_matches`) that also
     skips building and hashing the signature tuples for clean components --
     hashing work then scales with the push's dirty region instead of with
-    the component count.  *component_cache* is an optional
-    :class:`ComponentCache` replacing the from-scratch bipartite
-    decomposition with a dirty-region repair of the previous iteration's;
-    like the other two it only affects speed, never the result.
+    the component count.
+
+    The bipartite components are memoized on *ctx* under
+    ``("bipartite_components", rtype)``, the hook through which the
+    incremental engine supplies its stage-timed decomposition.
     """
 
     rtype = canonical_type(rtype)
@@ -375,10 +256,9 @@ def greedy_killing_function(
     # dirty-region-patched sets instead of rebuilding every frozenset.
     desc_values = ctx.memo(("killer_desc_values", rtype), compute_desc_values)
 
-    if component_cache is not None:
-        components = component_cache.decompose(pk)
-    else:
-        components = _bipartite_components(pk)
+    components = ctx.memo(
+        ("bipartite_components", rtype), lambda: _bipartite_components(pk)
+    )
     mapping: Dict[Value, str] = {}
     for comp_values, comp_killers in components:
         killing_set = None
@@ -475,7 +355,6 @@ def greedy_saturation(
     killing_set_cache: Optional[MutableMapping] = None,
     candidate_evaluator=None,
     signature_cache: Optional[MutableMapping] = None,
-    component_cache: Optional[ComponentCache] = None,
 ) -> SaturationResult:
     """Approximate the register saturation ``RS_t(G)`` with the Greedy-k heuristic.
 
@@ -510,10 +389,6 @@ def greedy_saturation(
     signature_cache:
         Optional identity-validated front cache over *killing_set_cache*
         (see :func:`greedy_killing_function`); speed only, never the result.
-    component_cache:
-        Optional :class:`ComponentCache` repairing the previous iteration's
-        bipartite decomposition instead of rebuilding it; speed only, never
-        the result.
 
     Returns
     -------
@@ -536,7 +411,6 @@ def greedy_saturation(
             killing_set_cache,
             candidate_evaluator,
             signature_cache,
-            component_cache,
         ),
         # Cross-run tier (inert unless a result store is active): the result
         # is a deterministic function of graph content + these parameters --
@@ -556,7 +430,6 @@ def _greedy_saturation_uncached(
     killing_set_cache: Optional[MutableMapping] = None,
     candidate_evaluator=None,
     signature_cache: Optional[MutableMapping] = None,
-    component_cache: Optional[ComponentCache] = None,
 ) -> SaturationResult:
     start = time.perf_counter()
     bottom_ctx = ctx.bottom()
@@ -572,7 +445,6 @@ def _greedy_saturation_uncached(
         ctx=bottom_ctx,
         killing_set_cache=killing_set_cache,
         signature_cache=signature_cache,
-        component_cache=component_cache,
     )
     candidates.append(("greedy-k", greedy_kf))
     if extra_candidates:

@@ -1,30 +1,33 @@
-"""Parity tests for the vectorized flat-core kernels (``repro.analysis.flatbuf``).
+"""Tests for the flat-core kernels and the warm state built on them.
 
-Every kernel has up to three implementations behind one interface -- numpy
-buffers, ``array('d')``/big-int stdlib buffers, and the exact PR-6 scalar
-reference (``off``).  The reduction engine's byte-identity guarantees rest on
-these being float-for-float identical, so each kernel is exercised on
-randomized inputs (including ``-inf`` sentinels) across all available
-backends and compared against the scalar reference.
+* the scalar kernels of :mod:`repro.analysis.flatbuf` against brute-force
+  references on randomized inputs (including ``-inf`` sentinels);
+* :class:`~repro.saturation.incremental.IncrementalAnalysis` under random
+  push/pop/reset interleavings, compared after every step against a cold
+  analysis of a copy of the current graph;
+* the reduction's ``engine_stats``: per-run counters that do not leak
+  between reductions running concurrently on threads;
+* importing the experiment layer does not pull in numpy or scipy.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from repro.analysis import flatbuf
-from repro.errors import ConfigurationError
+from repro.analysis.context import context_for
+from repro.codes.generator import layered_random_ddg
+from repro.core.graph import Edge
+from repro.core.types import DependenceKind
+from repro.saturation.incremental import IncrementalAnalysis
 
 NEG_INF = flatbuf.NEG_INF
-
-
-def _available_backends():
-    backends = ["off", "stdlib"]
-    if flatbuf.numpy_available():
-        backends.append("numpy")
-    return backends
 
 
 def _random_row(rng, n, p_inf=0.3):
@@ -34,289 +37,253 @@ def _random_row(rng, n, p_inf=0.3):
     ]
 
 
-class TestBackendSelection:
-    def test_rejects_unknown_spec(self):
-        with pytest.raises(ConfigurationError, match="REPRO_VECTOR"):
-            flatbuf.set_backend("simd")
-        # A failed activation must not clobber the active backend.
-        assert flatbuf.backend() in ("numpy", "stdlib", "off")
-
-    def test_rejects_unknown_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "fast")
-        try:
-            with pytest.raises(ConfigurationError, match="REPRO_VECTOR"):
-                flatbuf.set_backend(None)
-        finally:
-            monkeypatch.delenv("REPRO_VECTOR")
-            flatbuf.set_backend(None)
-
-    def test_auto_resolves_to_concrete_backend(self):
-        with flatbuf.use("auto") as active:
-            assert active in ("numpy", "stdlib")
-
-    def test_off_roundtrip_is_identity(self):
-        values = [1.0, NEG_INF, 3.5]
-        with flatbuf.use("off"):
-            row = flatbuf.row_from_list(values)
-            assert row is values
-            assert flatbuf.row_to_list(row) is values
-
-    def test_buffer_rows_box_to_builtin_floats(self):
-        values = [1.0, NEG_INF, 3.5]
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                out = flatbuf.row_to_list(flatbuf.row_from_list(values))
-                assert out == values
-                assert all(type(v) is float for v in out)
-
-
-class TestMaxMergeParity:
-    def test_randomized_rows_match_scalar_reference(self):
+class TestMaxMerge:
+    def test_randomized_rows_match_brute_force(self):
         rng = random.Random(20260808)
         for case in range(200):
             n = rng.randint(1, 40)
-            row_vals = _random_row(rng, n)
-            dst_vals = _random_row(rng, n, p_inf=rng.choice([0.1, 0.5, 1.0]))
+            row = _random_row(rng, n)
+            dst = _random_row(rng, n, p_inf=rng.choice([0.1, 0.5, 1.0]))
             shift = float(rng.randint(-10, 60))
+            pristine = list(row)
 
-            results = {}
-            for spec in _available_backends():
-                with flatbuf.use(spec):
-                    row = flatbuf.row_from_list(list(row_vals))
-                    finite = flatbuf.finite_entries(flatbuf.row_from_list(dst_vals))
-                    patched, changed = flatbuf.max_merge(row, shift, finite)
-                    if patched is None:
-                        results[spec] = (None, None)
-                    else:
-                        results[spec] = (flatbuf.row_to_list(patched), list(changed))
-                    # The input row is copy-on-write: never mutated.
-                    assert flatbuf.row_to_list(row) == row_vals
+            merged = [
+                max(r, shift + d) if d != NEG_INF else r for r, d in zip(row, dst)
+            ]
+            grew = [y for y in range(n) if merged[y] > row[y]]
 
-            reference = results["off"]
-            for spec, got in results.items():
-                assert got == reference, f"case {case}: {spec} diverges"
-            if reference[1] is not None:
-                assert reference[1] == sorted(reference[1]), "ascending contract"
+            patched, changed = flatbuf.max_merge(
+                row, shift, flatbuf.finite_entries(dst)
+            )
+            if grew:
+                assert (patched, changed) == (merged, grew), f"case {case}"
+            else:
+                assert (patched, changed) == (None, None), f"case {case}"
+            # The input row is copy-on-write: never mutated.
+            assert row == pristine
+
+    def test_finite_entries_skip_unreachable(self):
+        assert flatbuf.finite_entries([NEG_INF, 2.0, NEG_INF, 0.0]) == [
+            (1, 2.0),
+            (3, 0.0),
+        ]
 
     def test_no_improvement_returns_none(self):
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                row = flatbuf.row_from_list([5.0, 6.0])
-                finite = flatbuf.finite_entries(flatbuf.row_from_list([0.0, 0.0]))
-                assert flatbuf.max_merge(row, 1.0, finite) == (None, None)
+        finite = flatbuf.finite_entries([0.0, 0.0])
+        assert flatbuf.max_merge([5.0, 6.0], 1.0, finite) == (None, None)
 
 
-class TestThresholdMaskParity:
-    def test_randomized_rows_match_scalar_reference(self):
+class TestThresholdMask:
+    def test_randomized_rows_match_brute_force(self):
         rng = random.Random(977)
         for case in range(200):
             n = rng.randint(1, 48)
             k = rng.randint(0, n)
-            row_vals = _random_row(rng, n)
+            row = _random_row(rng, n)
             vids = rng.sample(range(n), k)
             dw = [rng.randint(0, 4) for _ in range(k)]
             read = rng.randint(-5, 120)
 
-            masks = {}
-            for spec in _available_backends():
-                with flatbuf.use(spec):
-                    row = flatbuf.row_from_list(list(row_vals))
-                    prep = flatbuf.prepare_values(vids, dw)
-                    mask = flatbuf.threshold_mask(row, prep, read)
-                    assert type(mask) is int
-                    masks[spec] = mask
-
-            assert len(set(masks.values())) == 1, f"case {case}: {masks}"
+            expected = sum(
+                1 << j
+                for j, vid in enumerate(vids)
+                if row[vid] > NEG_INF and row[vid] + dw[j] >= read
+            )
+            mask = flatbuf.threshold_mask(row, flatbuf.prepare_values(vids, dw), read)
+            assert mask == expected, f"case {case}"
 
     def test_empty_value_set_is_zero(self):
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                row = flatbuf.row_from_list([1.0, 2.0])
-                prep = flatbuf.prepare_values([], [])
-                assert flatbuf.threshold_mask(row, prep, 10) == 0
+        prep = flatbuf.prepare_values([], [])
+        assert flatbuf.threshold_mask([1.0, 2.0], prep, 10) == 0
 
 
-class TestClosureParity:
-    def _random_dag_rows(self, rng, n):
+class TestClosureFromRows:
+    @staticmethod
+    def _random_dag_rows(rng, n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # Arcs go forward in a random permutation, so the relation is a DAG
+        # that is not already topologically ordered by index.
         rows = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.15:
-                    rows[i] |= 1 << j
-        perm = list(range(n))
-        rng.shuffle(perm)
-        # Relabel so the DAG is not already topologically ordered.
-        out = [0] * n
-        for i in range(n):
-            acc = 0
-            for j in range(n):
-                if rows[i] >> j & 1:
-                    acc |= 1 << perm[j]
-            out[perm[i]] = acc
-        return out
-
-    def test_scalar_and_numpy_forms_agree(self):
-        if not flatbuf.numpy_available():
-            pytest.skip("numpy closure form needs numpy")
-        rng = random.Random(4242)
-        for _ in range(40):
-            n = rng.randint(1, 70)
-            rows = self._random_dag_rows(rng, n)
-            assert flatbuf._closure_numpy(rows) == flatbuf._closure_scalar(rows)
-
-    def test_cycle_returns_none_on_both_forms(self):
-        rows = [0b010, 0b100, 0b001]  # 0 -> 1 -> 2 -> 0
-        assert flatbuf._closure_scalar(rows) is None
-        if flatbuf.numpy_available():
-            assert flatbuf._closure_numpy(rows) is None
-
-    def test_dispatch_returns_scalar_result(self):
-        rows = [0b10, 0b00]
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                assert flatbuf.closure_from_rows(rows) == [0b10, 0b00]
-
-
-class TestScanPairsParity:
-    def _run_scan(self, spec, n, codes, x_vals, idx, cp, base_cp):
-        """Drive one scan where ``fresh`` fills pairs from the given maps."""
-
-        with flatbuf.use(spec):
-            tables = flatbuf.pair_tables(n * n)
-            assert tables is not None
-            xs, arcs = tables
-            fills = []
-
-            def fresh(a, b, key):
-                fills.append(key)
-                arcs[key] = codes[key]
-                if codes[key] >= 0:
-                    xs[key] = x_vals[key]
-
-            # Pre-seed a random subset as already-cached verdicts.
-            for key in sorted(codes):
-                if key % 3 == 0:
-                    arcs[key] = codes[key]
-                    if codes[key] >= 0:
-                        xs[key] = x_vals[key]
-
-            best, best_key, implied, reused = flatbuf.scan_pairs(
-                xs, arcs, idx, n, cp, base_cp, fresh
-            )
-            return best, best_key, implied, reused, sorted(fills)
-
-    def test_randomized_scans_match_stdlib_reference(self):
-        rng = random.Random(31337)
-        specs = [s for s in _available_backends() if s != "off"]
-        for case in range(150):
-            n = rng.randint(2, 14)
-            k = rng.randint(2, n)
-            idx = rng.sample(range(n), k)
-            cp = rng.randint(0, 40)
-            base_cp = rng.randint(0, cp) if cp else 0
-            codes = {}
-            x_vals = {}
-            for a in range(k):
-                for b in range(k):
-                    if a == b:
-                        continue
-                    key = idx[a] * n + idx[b]
-                    codes[key] = rng.choice([-3, -2, 0, 1, 2, 3])
-                    x_vals[key] = float(rng.randint(0, 60))
-
-            results = {
-                spec: self._run_scan(spec, n, codes, x_vals, idx, cp, base_cp)
-                for spec in specs
-            }
-            reference = results["stdlib"]
-            for spec, got in results.items():
-                assert got == reference, f"case {case}: {spec} diverges"
-
-    def test_all_pairs_inapplicable(self):
-        for spec in [s for s in _available_backends() if s != "off"]:
-            with flatbuf.use(spec):
-                n = 3
-                tables = flatbuf.pair_tables(n * n)
-                xs, arcs = tables
-                for key in range(n * n):
-                    arcs[key] = -3
-
-                best, best_key, implied, reused = flatbuf.scan_pairs(
-                    xs, arcs, [0, 2], n, 5, 5, lambda a, b, key: None
-                )
-                assert best is None and best_key is None
-                assert implied == 0 and reused == 2
-
-    def test_off_backend_has_no_tables(self):
-        with flatbuf.use("off"):
-            assert flatbuf.pair_tables(16) is None
-
-
-class TestReductionByteIdentity:
-    """End-to-end: identical ReductionResult reports across kernel backends."""
-
-    @pytest.fixture()
-    def instance(self):
-        from repro.codes import kernel_suite
-
-        entry = {e.name: e for e in kernel_suite()}["linpack-daxpy-u4"]
-        return entry.ddg, entry.ddg.register_types()[0]
+                    rows[perm[i]] |= 1 << perm[j]
+        return rows
 
     @staticmethod
-    def _normalized(result):
-        details = {
-            k: v
-            for k, v in sorted(result.details.items())
-            if k not in ("engine", "engine_stats")
-        }
-        graph = result.extended_ddg
-        return repr(
-            (
-                result.rtype.name,
-                result.target,
-                result.success,
-                result.original_rs,
-                result.achieved_rs,
-                result.added_edges,
-                result.critical_path_before,
-                result.critical_path_after,
-                result.method,
-                result.optimal,
-                details,
-                sorted(
-                    (e.src, e.dst, e.latency, e.kind.value,
-                     None if e.rtype is None else e.rtype.name)
-                    for e in graph.edges()
-                ),
-            )
-        ).encode()
+    def _brute_force_closure(rows):
+        n = len(rows)
+        closure = []
+        for i in range(n):
+            seen = 0
+            stack = [i]
+            while stack:
+                v = stack.pop()
+                for j in range(n):
+                    if rows[v] >> j & 1 and not seen >> j & 1:
+                        seen |= 1 << j
+                        stack.append(j)
+            closure.append(seen)
+        return closure
 
-    def test_reports_byte_identical_across_backends(self, instance):
-        from repro.reduction import reduce_saturation_heuristic
+    def test_randomized_dags_match_brute_force(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            rows = self._random_dag_rows(rng, rng.randint(0, 70))
+            assert flatbuf.closure_from_rows(rows) == self._brute_force_closure(rows)
 
-        ddg, rtype = instance
-        reports = {}
-        for spec in _available_backends():
-            with flatbuf.use(spec):
-                result = reduce_saturation_heuristic(
-                    ddg.copy(), rtype, 4, engine="incremental"
-                )
-                reports[spec] = self._normalized(result)
-                stats = result.details["engine_stats"]
-                assert stats["vector_backend"] == spec
-                if spec == "off":
-                    assert stats["vector_kernel_calls"] == 0
-                else:
-                    assert stats["vector_kernel_calls"] > 0
+    def test_cycle_returns_none(self):
+        assert flatbuf.closure_from_rows([0b010, 0b100, 0b001]) is None
 
-        assert len(set(reports.values())) == 1, sorted(reports)
 
-    def test_engine_stats_expose_shm_counters(self, instance):
-        from repro.reduction import reduce_saturation_heuristic
+def _serial_arc_pool(ddg, rng, count=24):
+    """Random forward serial arcs (along one topological order): always acyclic."""
 
-        ddg, rtype = instance
-        result = reduce_saturation_heuristic(
-            ddg.copy(), rtype, 4, engine="incremental"
+    topo = context_for(ddg).topological_order()
+    pos = {name: i for i, name in enumerate(topo)}
+    pool = []
+    for _ in range(count):
+        a, b = rng.sample(topo, 2)
+        if pos[a] > pos[b]:
+            a, b = b, a
+        pool.append(Edge(a, b, rng.randint(0, 3), DependenceKind.SERIAL, None))
+    return pool
+
+
+def _warm_rows(analysis):
+    """Name-keyed copies of every cached longest-path row."""
+
+    name = analysis.interner.name
+    return {name(sid): list(row) for sid, row in analysis._lp_rows.items()}
+
+
+def _assert_matches_cold(analysis, label):
+    cold = IncrementalAnalysis(analysis.ddg.copy())
+    for src, row in _warm_rows(analysis).items():
+        assert row == list(cold.row_by_name(src)), f"{label}: row {src}"
+    assert analysis.descendants_incl() == cold.descendants_incl(), label
+    assert analysis.descendants_excl() == cold.descendants_excl(), label
+
+
+class TestIncrementalAnalysisInterleavings:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_push_pop_reset_matches_cold_analysis(self, seed):
+        rng = random.Random(400 + seed)
+        ddg = layered_random_ddg(nodes=16 + seed, layers=4, seed=seed)
+        analysis = IncrementalAnalysis(ddg.copy())
+        pool = _serial_arc_pool(ddg, rng)
+        names = list(ddg.nodes())
+        analysis.row_by_name(names[0])
+        baseline_edges = sorted(
+            (e.src, e.dst, e.latency) for e in analysis.ddg.edges()
         )
-        stats = result.details["engine_stats"]
-        assert "shm_attaches" in stats and "shm_fallbacks" in stats
+
+        for step in range(40):
+            label = f"seed {seed} step {step}"
+            op = rng.random()
+            if op < 0.15 and analysis.depth:
+                analysis.pop()
+            elif op < 0.25 and analysis.depth:
+                # reset_to_depth: rewind several frames at once.
+                target = rng.randrange(analysis.depth)
+                while analysis.depth > target:
+                    analysis.pop()
+            elif op < 0.4:
+                # Seed rows mid-epoch, and evict + re-seed a warm one.
+                for src in rng.sample(names, rng.randint(1, 4)):
+                    analysis.row_by_name(src)
+                sid = rng.choice(list(analysis._lp_rows))
+                analysis.evict_row_id(sid)
+                analysis.row(sid)
+            else:
+                edges = [pool[rng.randrange(len(pool))]
+                         for _ in range(rng.randint(1, 2))]
+                before = _warm_rows(analysis)
+                frame = analysis.push(edges)
+                # The frame's change log names exactly the entries that grew.
+                after = _warm_rows(analysis)
+                moved = {
+                    analysis.op_id(src): sorted(
+                        y for y, (a, b) in enumerate(zip(row, after[src])) if a != b
+                    )
+                    for src, row in before.items()
+                }
+                logged = {sid: sorted(set(ys)) for sid, ys in frame.lp_changes.items()}
+                assert logged == {sid: ys for sid, ys in moved.items() if ys}, label
+            _assert_matches_cold(analysis, label)
+
+        while analysis.depth:
+            analysis.pop()
+        assert sorted(
+            (e.src, e.dst, e.latency) for e in analysis.ddg.edges()
+        ) == baseline_edges
+        _assert_matches_cold(analysis, f"seed {seed}: unwound")
+
+
+@pytest.fixture()
+def daxpy():
+    from repro.codes import kernel_suite
+
+    entry = {e.name: e for e in kernel_suite()}["linpack-daxpy-u4"]
+    return entry.ddg, entry.ddg.register_types()[0]
+
+
+def test_engine_stats_expose_shm_counters(daxpy):
+    from repro.reduction import reduce_saturation_heuristic
+
+    ddg, rtype = daxpy
+    result = reduce_saturation_heuristic(ddg.copy(), rtype, 4, engine="incremental")
+    stats = result.details["engine_stats"]
+    assert "shm_attaches" in stats and "shm_fallbacks" in stats
+    assert "greedy_decompose" in stats["stage_timings"]
+
+
+def test_thread_runs_report_serial_engine_counters():
+    """Concurrent reductions report their own counters, not each other's."""
+
+    from repro.codes import scale_suite
+    from repro.reduction import reduce_saturation_heuristic
+    from repro.saturation import greedy_saturation
+
+    cases = []
+    for entry in scale_suite(sizes=(56, 72), superblock_sizes=()):
+        rtype = entry.ddg.register_types()[0]
+        budget = greedy_saturation(entry.ddg, rtype).rs // 2
+        cases.append((entry.name, entry.ddg, rtype, budget))
+
+    def int_stats(ddg, rtype, budget):
+        stats = reduce_saturation_heuristic(ddg.copy(), rtype, budget).details[
+            "engine_stats"
+        ]
+        return {k: v for k, v in stats.items() if type(v) is int}
+
+    serial = {name: int_stats(ddg, rt, b) for name, ddg, rt, b in cases}
+    threaded = {}
+    barrier = threading.Barrier(len(cases), timeout=60)
+
+    def run(name, ddg, rtype, budget):
+        barrier.wait()
+        threaded[name] = int_stats(ddg, rtype, budget)
+
+    threads = [threading.Thread(target=run, args=case) for case in cases]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert threaded == serial
+
+
+def test_experiments_import_without_numpy_or_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = (
+        "import sys, repro.experiments; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

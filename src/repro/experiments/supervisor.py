@@ -2,8 +2,7 @@
 
 :class:`~repro.experiments.engine.BatchEngine` alone implements the happy
 path: every worker answers, no worker hangs, the pool never dies.  The
-paper's exact intLP sweeps are multi-day computations, and the ROADMAP's
-distributed-fleet direction makes workers *remote* -- at that scale the
+paper's exact intLP sweeps are multi-day computations -- at that scale the
 unhappy paths are the common case.  This module wraps the engine's dispatch
 with a supervisor implementing:
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..analysis import shm
 from ..analysis.context import context_for
 from ..analysis.store import active_store
 from ..core.graph import DDG, Edge
@@ -195,10 +194,6 @@ class _SessionDriver:
                 **self.session.saturation_stats,
                 "killing_set_hits": cache.hits,
                 "killing_set_misses": cache.misses,
-                # Shared-memory dispatch counters of this process (execution
-                # detail like the stage timings: never compared report bytes).
-                "shm_attaches": shm.counters["attaches"],
-                "shm_fallbacks": shm.counters["fallbacks"],
                 # Monotonic per-stage wall-clock totals (seconds), keyed by
                 # engine stage; the benchmark's bottleneck profile and the
                 # CI artifact read these instead of caller-attributed

@@ -140,6 +140,29 @@ class TestChaosMatrix:
         # Retries are visible in the attempt counts, not in the results.
         assert any(o.attempts > 1 for o in faulted)
 
+    def test_process_faults_write_the_store_once_and_rerun_warm(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "crash@0,corrupt@1")
+        store = ResultStore(tmp_path)
+        engine = BatchEngine("process", workers=2, supervisor=_FAST_CONFIG)
+        items = list(range(6))
+        key_fn = lambda x: (f"g{x}", {"x": x})  # noqa: E731
+        results, outcomes = engine.map_with_outcomes(
+            _square, items, store=store, query="q", key_fn=key_fn
+        )
+        assert results == [x * x for x in items]
+        assert outcomes[0].faulted and outcomes[1].faulted
+        assert store.stats.puts == len(items)
+        for x in items:
+            assert store.get(f"g{x}", "q", {"x": x}) == x * x
+        warm, warm_outcomes = engine.map_with_outcomes(
+            _square, items, store=store, query="q", key_fn=key_fn
+        )
+        assert warm == results
+        assert all(o.status == "stored" for o in warm_outcomes)
+        assert store.stats.puts == len(items)
+
     def test_rate_faults_are_reproducible_across_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.3,corrupt:0.2,seed:7")
         engine = BatchEngine("thread", workers=3, supervisor=_FAST_CONFIG)
@@ -457,51 +480,9 @@ class TestEnvironmentValidation:
     def test_malformed_fault_spec_names_the_variable(self, monkeypatch):
         from repro.errors import ConfigurationError
 
-        monkeypatch.setenv("REPRO_FAULTS", "crash:not-a-rate")
-        with pytest.raises(ConfigurationError, match="REPRO_FAULTS"):
-            active_plan()
-
-
-class TestNetworkFaultPlans:
-    def test_network_spec_round_trips(self):
-        spec = "drop:0.2,dup@3,partition@1,leasekill@2,delaydur:0.5,seed:4"
-        plan = FaultPlan.parse(spec)
-        assert plan.drop_rate == 0.2
-        assert plan.dup_at == frozenset({3})
-        assert plan.partition_at == frozenset({1})
-        assert plan.leasekill_at == frozenset({2})
-        assert plan.delay_seconds == 0.5
-        assert FaultPlan.parse(plan.to_spec()) == plan
-
-    def test_network_rates_validated_separately_from_worker_rates(self):
-        # Worker and network rate budgets are independent; each must be a
-        # probability distribution on its own.
-        FaultPlan.parse("crash:0.6,drop:0.6")  # fine: different domains
-        with pytest.raises(ValueError):
-            FaultPlan.parse("drop:0.7,delay:0.5")
-
-    def test_planted_only_kinds_reject_rate_form(self):
-        with pytest.raises(ValueError):
-            FaultPlan.parse("partition:0.5")
-        with pytest.raises(ValueError):
-            FaultPlan.parse("leasekill:0.1")
-
-    def test_network_decisions_deterministic_and_domain_separated(self):
-        plan = FaultPlan.parse("drop:0.5,crash:0.5,seed:21")
-        injector = FaultInjector(plan)
-        net = [injector.decide_network(i, 1) for i in range(32)]
-        assert net == [injector.decide_network(i, 1) for i in range(32)]
-        worker = [injector.decide(i, 1) for i in range(32)]
-        # Separate hash domains: the two fault streams must not mirror
-        # each other index for index.
-        assert [d is not None for d in net] != [d is not None for d in worker]
-
-    def test_planted_network_faults_fire_once(self):
-        plan = FaultPlan.parse("dup@4,partition@5,leasekill@6")
-        injector = FaultInjector(plan)
-        assert injector.decide_network(4, 1) == "dup"
-        assert injector.decide_network(4, 2) is None
-        assert injector.partition_planned(5, 1)
-        assert not injector.partition_planned(5, 2)
-        assert injector.leasekill_planned(6, 1)
-        assert not injector.leasekill_planned(6, 2)
+        # The second spec uses fault kinds that no longer exist: it must fail
+        # loudly rather than plan nothing.
+        for spec in ("crash:not-a-rate", "drop@0,dup@1,partition@2,leasekill@3"):
+            monkeypatch.setenv("REPRO_FAULTS", spec)
+            with pytest.raises(ConfigurationError, match="REPRO_FAULTS"):
+                active_plan()

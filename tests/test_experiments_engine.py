@@ -50,9 +50,15 @@ class TestBatchEngine:
         ready = BatchEngine("thread", 2)
         assert BatchEngine.coerce(ready) is ready
 
-    def test_invalid_specs_rejected(self):
+    def test_invalid_specs_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             BatchEngine("fibers")
+        # The removed socket-fleet policy is rejected like any unknown one.
+        with pytest.raises(ValueError, match=r"\('serial', 'thread', 'process'\)"):
+            BatchEngine("fleet")
+        monkeypatch.setenv("REPRO_ENGINE", "fleet")
+        with pytest.raises(ValueError, match=r"\('serial', 'thread', 'process'\)"):
+            BatchEngine.from_environment()
         with pytest.raises(ValueError):
             BatchEngine("thread", 0)
 

@@ -482,14 +482,27 @@ def daxpy():
     return entry.ddg, entry.ddg.register_types()[0]
 
 
-def test_engine_stats_expose_shm_counters(daxpy):
+def test_engine_stats_carry_stage_timings_not_process_counters(daxpy):
     from repro.reduction import reduce_saturation_heuristic
 
     ddg, rtype = daxpy
     result = reduce_saturation_heuristic(ddg.copy(), rtype, 4, engine="incremental")
     stats = result.details["engine_stats"]
-    assert "shm_attaches" in stats and "shm_fallbacks" in stats
+    assert not any(key.startswith("shm_") for key in stats)
     assert "greedy_decompose" in stats["stage_timings"]
+
+
+def test_reduction_engine_counters_do_not_depend_on_the_policy():
+    # The counters describe the computation, so the same suite must report
+    # the same totals whether it ran inline or in pool workers.
+    from repro.codes import kernel_suite
+    from repro.experiments import run_reduction_optimality
+
+    suite = kernel_suite()[:8]
+    serial = run_reduction_optimality(suite=suite, max_nodes=10, engine="serial")
+    pooled = run_reduction_optimality(suite=suite, max_nodes=10, engine="process:2")
+    assert serial.engine_counters
+    assert pooled.engine_counters == serial.engine_counters
 
 
 def test_engine_stats_carry_no_variant_counters(daxpy):

@@ -98,6 +98,49 @@ class TestFaultPlan:
         monkeypatch.setenv("REPRO_FAULTS", "seed:9")  # no faults => inactive
         assert active_plan() is None
 
+    @pytest.mark.parametrize("kind", ["crash", "hang", "corrupt", "kill"])
+    def test_each_worker_kind_round_trips(self, kind):
+        plan = FaultPlan.parse(f"{kind}:0.25,{kind}@4,{kind}@9,seed:5")
+        assert getattr(plan, f"{kind}_rate") == 0.25
+        assert getattr(plan, f"{kind}_at") == frozenset({4, 9})
+        assert plan.active
+        assert FaultPlan.parse(plan.to_spec()) == plan
+        injector = FaultInjector(plan)
+        assert injector.decide(4, 1) == injector.decide(9, 1) == kind
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["drop@0", "dup@1", "partition@2", "leasekill@3", "delay@5",
+         "drop:0.1", "delaydur:0.2"],
+    )
+    def test_removed_network_kinds_are_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown fault"):
+            FaultPlan.parse(spec)
+
+    # One character per item index 0..39: "." no fault, C crash, H hang,
+    # X corrupt, K kill.  The draws are a pure function of (seed, index,
+    # attempt); pinning them keeps recorded chaos runs replayable.
+    _PINNED_DRAWS = {
+        0: ("KH.K..C..C..CX.C.K.CXCKC...C....H.K..HXK",
+            "..CC..KK.C.....CX.C.HHCC.H...CC......CX."),
+        7: ("..CCCCC.XCH.C.KX..C.C.XXCCXX..C..K.K....",
+            "..CX.C.....K...HC.KCX..KX........H.C..H."),
+        13: (".....XC..XC...C....X.CC.XHCH...CCX.H....",
+             ".H.K..X.CH.CCKHHK.C...HKCCK.XC..CHCH.XXC"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(_PINNED_DRAWS))
+    def test_rate_draws_are_pinned(self, seed):
+        code = {None: ".", "crash": "C", "hang": "H", "corrupt": "X", "kill": "K"}
+        injector = FaultInjector(FaultPlan.parse(
+            f"crash:0.2,hang:0.1,corrupt:0.1,kill:0.1,seed:{seed}"
+        ))
+        drawn = tuple(
+            "".join(code[injector.decide(i, attempt)] for i in range(40))
+            for attempt in (1, 2)
+        )
+        assert drawn == self._PINNED_DRAWS[seed]
+
     def test_corrupt_payload_marker(self):
         marker = CorruptPayload(index=3, attempt=1)
         assert is_corrupt_payload(marker) and not is_corrupt_payload({"index": 3})
@@ -162,6 +205,22 @@ class TestChaosMatrix:
         assert warm == results
         assert all(o.status == "stored" for o in warm_outcomes)
         assert store.stats.puts == len(items)
+
+    def test_thread_faults_write_the_store_once(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_FAULTS", "crash@2,corrupt@3,hang@4,hangdur:0.6")
+        store = ResultStore(tmp_path)
+        engine = BatchEngine("thread", workers=2, supervisor=_FAST_CONFIG)
+        items = list(range(6))
+        key_fn = lambda x: (f"g{x}", {"x": x})  # noqa: E731
+        results, outcomes = engine.map_with_outcomes(
+            _square, items, store=store, query="q", key_fn=key_fn
+        )
+        assert results == [x * x for x in items]
+        assert all(outcomes[i].faulted for i in (2, 3, 4))
+        # Failed and abandoned attempts never reach the store.
+        assert store.stats.puts == len(items)
+        for x in items:
+            assert store.get(f"g{x}", "q", {"x": x}) == x * x
 
     def test_rate_faults_are_reproducible_across_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.3,corrupt:0.2,seed:7")
@@ -309,6 +368,26 @@ class TestChaosReports:
         assert all(o.status == "ok" for o in chaos.item_outcomes)
         faulted = sum(1 for o in chaos.item_outcomes if o.faulted)
         assert faulted >= max(1, n_items // 10)  # >=10% of items disturbed
+
+    def test_thread_chaos_report_byte_identical_to_serial_reference(
+        self, monkeypatch
+    ):
+        suite = benchmark_suite(max_size=10)
+        machine = superscalar(int_registers=6, float_registers=6)
+        kwargs = dict(suite=suite, machine=machine, registers=6,
+                      compare_baseline=False)
+
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        reference = run_pipeline_experiment(**kwargs)
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash@0,corrupt@1,crash:0.2,seed:31")
+        chaos_engine = BatchEngine("thread", workers=2, supervisor=_FAST_CONFIG)
+        chaos = run_pipeline_experiment(engine=chaos_engine, **kwargs)
+
+        assert chaos.to_table() == reference.to_table()
+        assert len(chaos.item_outcomes) == len(reference.outcomes)
+        assert all(o.status == "ok" for o in chaos.item_outcomes)
+        assert chaos.item_outcomes[0].faulted and chaos.item_outcomes[1].faulted
 
     def test_unsupervised_reports_carry_trivial_outcomes(self):
         suite = benchmark_suite(max_size=8)

@@ -11,14 +11,18 @@ import time
 
 import pytest
 
+from repro.analysis.store import ResultStore
 from repro.codes import benchmark_suite
 from repro.core import superscalar
+from repro.errors import SolverError
 from repro.experiments import (
     BatchEngine,
+    SupervisorConfig,
     run_batch,
     run_ilp_size_study,
     run_pipeline_experiment,
 )
+from repro.experiments.engine import POLICIES
 
 # Module-level workers so the process policy can pickle them.
 
@@ -39,6 +43,15 @@ def _explode(x: int) -> int:
     if x == 3:
         raise ValueError("boom on 3")
     return x
+
+
+def _raise_solver_error(x: int) -> int:
+    raise SolverError(f"no solution for {x}")
+
+
+_QUICK_SUPERVISOR = SupervisorConfig(
+    timeout=10.0, max_attempts=3, backoff_base=0.01, backoff_cap=0.05
+)
 
 
 class TestBatchEngine:
@@ -79,6 +92,70 @@ class TestBatchEngine:
     def test_resolved_workers_bounded_by_items(self):
         assert BatchEngine("thread", 16).resolved_workers(3) == 3
         assert BatchEngine("thread", 2).resolved_workers(10) == 2
+
+
+class TestPolicyContract:
+    """The same batch contract holds under each of the three policies."""
+
+    @pytest.fixture(autouse=True)
+    def _plain_environment(self, monkeypatch):
+        for variable in ("REPRO_ENGINE", "REPRO_FAULTS", "REPRO_TIMEOUT",
+                         "REPRO_RETRIES"):
+            monkeypatch.delenv(variable, raising=False)
+
+    def test_policies_are_the_three_local_ones(self):
+        assert POLICIES == ("serial", "thread", "process")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_outcomes_in_input_order_and_labelled(self, policy):
+        engine = BatchEngine(policy, workers=2)
+        results, outcomes = engine.map_with_outcomes(_square, list(range(8)))
+        assert results == [x * x for x in range(8)]
+        assert [o.index for o in outcomes] == list(range(8))
+        assert all(o.status == "ok" and o.policy == policy for o in outcomes)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_empty_batch(self, policy):
+        for supervisor in (None, _QUICK_SUPERVISOR):
+            engine = BatchEngine(policy, workers=3, supervisor=supervisor)
+            assert engine.map_with_outcomes(_square, []) == ([], [])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_spec_and_environment_agree(self, policy, monkeypatch):
+        engine = BatchEngine.from_spec(f"{policy}:3")
+        assert engine.policy == policy and engine.workers == 3
+        monkeypatch.setenv("REPRO_ENGINE", f"{policy}:3")
+        assert BatchEngine.from_environment() == engine
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_item_failure_propagates_like_a_plain_loop(self, policy):
+        for supervisor in (None, _QUICK_SUPERVISOR):
+            engine = BatchEngine(policy, workers=2, supervisor=supervisor)
+            with pytest.raises(SolverError, match="no solution for"):
+                engine.map(_raise_solver_error, list(range(4)))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_store_write_back_and_warm_rerun(self, policy, tmp_path):
+        store = ResultStore(tmp_path)
+        engine = BatchEngine(policy, workers=2)
+        items = list(range(6))
+        key_fn = lambda x: (f"g{x}", {"x": x})  # noqa: E731
+        # Seed one key: a stored item is served from the store, not computed.
+        store.put("g4", "q", {"x": 4}, "seeded")
+        results, outcomes = engine.map_with_outcomes(
+            _square, items, store=store, query="q", key_fn=key_fn
+        )
+        assert results == [0, 1, 4, 9, "seeded", 25]
+        assert [o.status for o in outcomes] == ["ok"] * 4 + ["stored", "ok"]
+        assert [o.index for o in outcomes] == items
+        assert store.stats.puts == len(items)
+        assert store.get("g3", "q", {"x": 3}) == 9
+        warm, warm_outcomes = engine.map_with_outcomes(
+            _square, items, store=store, query="q", key_fn=key_fn
+        )
+        assert warm == results
+        assert all(o.status == "stored" for o in warm_outcomes)
+        assert store.stats.puts == len(items)
 
 
 class TestEngineBackedExperiments:

@@ -350,3 +350,16 @@ class TestStoreRobustness:
         assert fresh.exists()  # younger than the grace period: spared
         assert reopened.stats.stale_tmp_removed == 1
         assert reopened.get("h", "q", None) == "value"
+
+    def test_put_over_an_existing_entry_replaces_it(self, tmp_path):
+        store = ResultStore(tmp_path)
+        first = store.put("h", "q", {"k": 1}, "old")
+        second = store.put("h", "q", {"k": 1}, "new")
+        assert first == second
+        assert store.get("h", "q", {"k": 1}) == "new"
+        # A fresh handle reads the replacement from disk, and the atomic
+        # write left one entry and no temp file behind.
+        assert ResultStore(tmp_path).get("h", "q", {"k": 1}) == "new"
+        assert store.entry_count() == 1
+        assert not list(first.parent.glob(".tmp-*"))
+        assert store.stats.puts == 2

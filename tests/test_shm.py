@@ -205,6 +205,17 @@ class TestEngineIntegration:
         assert all(sig == _graph_signature(g.copy()) for sig in results)
         assert shm.counters["exports"] == 1
 
+    @pytest.mark.parametrize("policy", ["serial", "thread"])
+    def test_in_process_policies_never_export(self, policy):
+        from repro.experiments import BatchEngine
+
+        g = _sample_ddg()
+        engine = BatchEngine(policy=policy, workers=2)
+        received = engine.map(lambda item: item, [g] * 3)
+        # Workers sharing the dispatcher's memory get the graph itself.
+        assert all(item is g for item in received)
+        assert shm.counters == {"exports": 0, "attaches": 0, "fallbacks": 0}
+
     def test_shm_off_uses_plain_pickle(self, monkeypatch):
         from repro.experiments import BatchEngine
 
